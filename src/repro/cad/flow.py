@@ -209,11 +209,6 @@ class FlowResult:
         ``router_node_pops``
             Dijkstra/A* heap pops over the whole routing run — the counter
             the A* geometric lower bound reduces versus plain Dijkstra.
-        ``router_parallel_groups``, ``router_conflict_replays``
-            Net-parallel routing counters: speculative net groups routed
-            concurrently and nets replayed serially after a commit-time
-            conflict (both 0 when grouping never engaged; the result is
-            bit-identical to serial routing either way).
         ``routing_warm_started``
             Only when a routing-tree warm start seeded this run (the sweep
             engine's channel-width ladders): how many nets inherited a
@@ -266,8 +261,6 @@ class FlowResult:
             data["router_iterations"] = self.routing.iterations
             data["router_nets_rerouted"] = self.routing.total_reroutes
             data["router_node_pops"] = self.routing.node_pops
-            data["router_parallel_groups"] = self.routing.parallel_groups
-            data["router_conflict_replays"] = self.routing.conflict_replays
             if self.routing.warm_started_nets:
                 # Only present when a warm-start seed actually fired, so
                 # plain flows keep their historical key set.

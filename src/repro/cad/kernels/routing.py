@@ -46,9 +46,7 @@ class RouterCostTable:
     ``history`` lists.  :meth:`refresh` rebuilds the full congestion
     vector (once per PathFinder iteration, when ``pres_fac``/``history``
     move); :meth:`update` patches the entries of the nodes a single
-    occupy/release touched.  :meth:`group_view` snapshots the cost state
-    for one parallel net group so concurrent groups never observe each
-    other's patches.
+    occupy/release touched.
     """
 
     def __init__(
@@ -149,13 +147,8 @@ class RouterCostTable:
             self._blend_cache[crit] = cached
         return cached
 
-    def group_view(self, occupancy: List[int]) -> "GroupCostView":
-        """A snapshot view over a group-private occupancy list."""
-        return GroupCostView(self, occupancy)
-
     # ------------------------------------------------------------------
-    # Geometry (static per graph; caches shared and idempotent, so the
-    # benign insert races between parallel net groups are harmless)
+    # Geometry (static per graph; caches shared across route calls)
     # ------------------------------------------------------------------
     def adjacency(self, box: Optional[Tuple[int, int, int, int]]) -> List[List[int]]:
         """Per-node neighbour lists with out-of-box wire targets pruned.
@@ -221,37 +214,3 @@ class RouterCostTable:
             self._lb_cache[key] = cached
         return cached
 
-
-class GroupCostView:
-    """Group-private cost state for one parallel routing group.
-
-    Copies the congestion vector at group start (phase 1 routes against
-    the iteration-start snapshot) and applies the group's own
-    release/occupy patches against the group's private occupancy list;
-    geometry lookups delegate to the shared table.
-    """
-
-    def __init__(self, table: RouterCostTable, occupancy: List[int]) -> None:
-        self._np = table._np
-        self._table = table
-        self._occupancy = occupancy
-        self._history = table._history
-        self._base_list = table._base_list
-        self._capacity_list = table._capacity_list
-        self._is_wire_list = table._is_wire_list
-        self.pres_fac = table.pres_fac
-        self.hist_fac = table.hist_fac
-        self.delay = table.delay
-        self.cong = table.cong.copy()
-        self.cong_list = table.cong_list[:]
-        self.zeros = table.zeros
-        self._blend_cache: Dict[float, List[float]] = {}
-
-    update = RouterCostTable.update
-    cost_list = RouterCostTable.cost_list
-
-    def adjacency(self, box):
-        return self._table.adjacency(box)
-
-    def lower_bounds(self, remaining, half_fac):
-        return self._table.lower_bounds(remaining, half_fac)

@@ -80,6 +80,18 @@ def test_routing_round_trips(flow_and_result):
         assert routed.nodes == result.routing.routed[net].nodes
 
 
+def test_legacy_routing_payload_with_grouping_counters_decodes(flow_and_result):
+    # Payloads written before routing became serial-only carry two extra
+    # counters; they must still decode, and are no longer emitted.
+    flow, result = flow_and_result
+    current = result.routing.to_dict(flow.rr_graph)
+    assert "parallel_groups" not in current
+    assert "conflict_replays" not in current
+    legacy = _json_round_trip({**current, "parallel_groups": 3, "conflict_replays": 5})
+    rebuilt = RoutingResult.from_dict(legacy, flow.rr_graph)
+    assert rebuilt.to_dict(flow.rr_graph) == current
+
+
 def test_timing_round_trips(flow_and_result):
     _, result = flow_and_result
     payload = _json_round_trip(result.timing.to_dict())

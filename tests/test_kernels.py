@@ -6,9 +6,8 @@ hold that promise at three levels:
 
 * end to end: full flows (bitstream bytes + the entire ``summary()`` dict)
   across a spread of registry circuits and seeds;
-* the net-parallel router: grouped routing must return exactly the serial
-  trees while reporting nonzero ``parallel_groups`` on the acceptance
-  benches (``qdi_multiplier_2x2``, ``gen:mult8x8@micropipeline``);
+* the acceptance benches (``qdi_multiplier_2x2``,
+  ``gen:mult8x8@micropipeline``) must route under the default kernel;
 * the placement cache: a hypothesis-driven random anneal protocol
   (mutate → propose → commit/reject) compared move-by-move against the
   reference cache and the full :func:`repro.cad.place._hpwl` recompute.
@@ -26,7 +25,6 @@ import repro.cad.kernels as kernels
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.cad.kernels import KernelUnavailableError, numpy_available, resolve_kernel
 from repro.cad.place import NetCostCache, _hpwl
-from repro.cad.route import route_design
 from repro.circuits.registry import build_circuit
 from repro.core.params import ArchitectureParams, RoutingParams
 
@@ -120,42 +118,12 @@ def test_auto_resolves_to_numpy_when_available():
 
 
 # ----------------------------------------------------------------------
-# Net-parallel routing: serial trees exactly, groups reported
+# Acceptance benches route
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", ["python", pytest.param("numpy", marks=needs_numpy)])
-def test_parallel_routing_matches_serial_exactly(kernel):
-    from repro.cad.pack import pack_design
-    from repro.cad.place import place_design
-    from repro.circuits.adders import qdi_ripple_adder
-    from repro.core.fabric import Fabric
-    from repro.core.rrgraph import cached_rr_graph
-
-    design = qdi_ripple_adder(4).mapped
-    pack_design(design)
-    side = max(4, int(len(design.plbs) ** 0.5) + 2)
-    fabric = Fabric(
-        ArchitectureParams(
-            width=side,
-            height=side,
-            routing=RoutingParams(channel_width=10, io_pads_per_side=6),
-        )
-    )
-    graph = cached_rr_graph(fabric)
-    placement = place_design(design, fabric, seed=1, kernel=kernel)
-    serial = route_design(design, placement, graph, kernel=kernel, parallel=False)
-    grouped = route_design(design, placement, graph, kernel=kernel, parallel=True)
-    assert grouped.routed == serial.routed
-    assert grouped.success == serial.success
-    assert grouped.total_wirelength == serial.total_wirelength
-    assert grouped.node_pops == serial.node_pops
-    assert serial.parallel_groups == 0
-    assert grouped.parallel_groups > 0
-
-
 @pytest.mark.parametrize(
     "name", ["qdi_multiplier_2x2", "gen:mult8x8@micropipeline"]
 )
-def test_acceptance_benches_report_parallel_groups(name):
+def test_acceptance_benches_route(name):
     if name.startswith("gen:mult8x8"):
         from repro.circuits.generate import recommended_fabric
         from repro.circuits.specs import build_from_spec
@@ -167,7 +135,6 @@ def test_acceptance_benches_report_parallel_groups(name):
         params = ROUTABLE
     summary = CadFlow(params, FlowOptions()).run(bench).summary()
     assert summary["routing_success"] is True
-    assert summary["router_parallel_groups"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -47,8 +47,6 @@ FULL_FLOW_SUMMARY_KEYS = {
     "router_iterations",
     "router_nets_rerouted",
     "router_node_pops",
-    "router_parallel_groups",
-    "router_conflict_replays",
     "max_net_delay_ps",
     "le_levels",
     "forward_latency_ps",
